@@ -66,6 +66,7 @@ pub const PER_LAYER: &[MetricDef] = &[
     m("listener.conns_held", "count"),
     m("listener.held_per_live", "ratio"),
     m("listener.rejected_syns", "count"),
+    m("listener.port_reuse_failed_share", "ratio"),
     m("host.cost_growth", "ratio"),
     m("token.generate_ns", "ns"),
     m("crypto.hmac_ns", "ns"),

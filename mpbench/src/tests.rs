@@ -102,6 +102,16 @@ fn seed_changes_inputs_but_not_metric_set() {
     assert_ne!(wire::fetch_seeds(1, 4), wire::fetch_seeds(2, 4));
 }
 
+#[test]
+fn client_ports_are_fresh_until_the_allocator_is_remade() {
+    let mut ports = wire::ClientPorts::new();
+    let first = ports.take().expect("ports left");
+    let second = ports.take().expect("ports left");
+    assert_eq!(first.len(), second.len());
+    assert!(first.iter().all(|p| !second.contains(p)));
+    assert_eq!(wire::ClientPorts::new().take().expect("ports left"), first);
+}
+
 /// A fetch server that answers every request with the keystream of a
 /// different seed: every byte the client checks is wrong.
 struct LyingServer {

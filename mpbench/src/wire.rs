@@ -27,22 +27,81 @@ use crate::sim::{deployed_capture, joined_subflows, ConnTotals, SPAN_CAP};
 use crate::spans::Tracer;
 
 const PATHS: usize = 2;
-/// Object size and per-fetch deadline.
+/// Object size and per-fetch deadline. The deadline is far above any
+/// healthy fetch (p90 is a few ms), so scheduler noise cannot fail one.
 pub const RR_SIZE: u64 = 16 * 1024;
-const RR_DEADLINE: Duration = Duration::from_millis(50);
+const RR_DEADLINE: Duration = Duration::from_secs(1);
 /// Latency percentiles are taken per window of this length.
 const WINDOW: Duration = Duration::from_secs(2);
 /// The client's pause between fetches (see NOTES.md).
 const THINK: Duration = Duration::from_millis(10);
 /// Server binds timed per run.
-const SETUP_BINDS: usize = 9;
+const SETUP_BINDS: usize = 25;
 /// wire_rr traced runs end with this many fetches that linger until the
 /// connection fully closes, or for at most `CLOSE_CAP`.
 const CLOSE_PROBES: usize = 8;
 const CLOSE_CAP: Duration = Duration::from_millis(200);
+/// wire_rr traced runs also make this many fetches from the client ports
+/// of fetches the server has already served, each with this deadline.
+const REUSE_PROBES: usize = 4;
+const REUSE_DEADLINE: Duration = Duration::from_millis(100);
 
 fn loopback() -> Vec<SocketAddr> {
     vec![SocketAddr::from(([127, 0, 0, 1], 0)); PATHS]
+}
+
+/// Client ports for wire_rr, below the kernel's ephemeral range: every
+/// fetch of one server's life binds ports no earlier fetch used. The
+/// server keeps the tuples of connections it has served (see NOTES.md),
+/// so a kernel-chosen port that happens to repeat one gets no reply; that
+/// defect is measured on purpose by the traced run's reuse probes
+/// (`listener.port_reuse_failed_share`), not left to chance.
+pub struct ClientPorts {
+    next: u16,
+}
+
+impl ClientPorts {
+    const FIRST: u16 = 10_000;
+    const END: u16 = 32_768;
+
+    pub fn new() -> ClientPorts {
+        ClientPorts { next: Self::FIRST }
+    }
+
+    /// Fresh local addresses for one client, one per path.
+    pub fn take(&mut self) -> Result<Vec<SocketAddr>, String> {
+        let first = self.next;
+        if first as usize + PATHS > Self::END as usize {
+            return Err(format!(
+                "wire_rr used every client port in {}..{}; run for less time",
+                Self::FIRST,
+                Self::END
+            ));
+        }
+        self.next += PATHS as u16;
+        Ok((first..self.next)
+            .map(|p| SocketAddr::from(([127, 0, 0, 1], p)))
+            .collect())
+    }
+
+    /// Connect a fetch client from the next unused ports, skipping ports
+    /// that another process on the machine holds. A `ClientPorts` made
+    /// afresh hands out the same ports again, in the same order.
+    fn connect(
+        &mut self,
+        seed: u64,
+        addrs: &[SocketAddr],
+        app: impl Fn() -> FetchClient,
+        cfg: LoopConfig,
+    ) -> Result<ClientRuntime<FetchClient>, String> {
+        loop {
+            let local = self.take()?;
+            match ClientRuntime::connect(MptcpConfig::default(), seed, &local, addrs, app(), cfg) {
+                Err(e) if e.kind() == std::io::ErrorKind::AddrInUse => continue,
+                r => return r.map_err(|e| format!("client bind: {e}")),
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -339,8 +398,29 @@ fn finish_spans(
 // wire_rr.
 // ---------------------------------------------------------------------------
 
+/// What a fetch is for. Only measured fetches count in the metrics of
+/// the result line; the traced run adds the two kinds of probes.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    Measured,
+    /// Linger after the last byte until the connection fully closes.
+    Close,
+    /// Connect from the ports of an earlier, served fetch.
+    Reuse,
+}
+
+impl Kind {
+    fn deadline(self) -> Duration {
+        match self {
+            Kind::Reuse => REUSE_DEADLINE,
+            Kind::Measured | Kind::Close => RR_DEADLINE,
+        }
+    }
+}
+
 /// One fetch's outcome. Times run from before `ClientRuntime::connect`.
 pub struct Fetch {
+    pub kind: Kind,
     /// When the fetch started, from the start of the run.
     pub start: Duration,
     pub ok: bool,
@@ -349,9 +429,9 @@ pub struct Fetch {
     pub latency: Duration,
     pub ttfb: Option<Duration>,
     pub handshake: Option<Duration>,
-    /// Set when the fetch lingered for the close: time from the last
-    /// byte to a fully closed connection, `None` if it did not close.
-    pub close: Option<Option<Duration>>,
+    /// Close probes: time from the last byte to a fully closed
+    /// connection, `None` if it did not close within `CLOSE_CAP`.
+    pub close: Option<Duration>,
     pub bytes: u64,
 }
 
@@ -360,42 +440,38 @@ pub struct RrSide {
     pub conns: ConnTotals,
 }
 
-/// Fetch `RR_SIZE` keystream bytes over a fresh two-path client, stopping
-/// the clock on the last verified byte. Afterwards the client keeps
-/// stepping, untimed, until its app has seen EOF and sent its own close
-/// (so the server can reap the connection), or with `linger` until the
-/// connection fully closes.
+/// Fetch `RR_SIZE` keystream bytes over a two-path client bound to the
+/// next ports of `ports`, stopping the clock on the last verified byte.
+/// Afterwards the client keeps stepping, untimed, until its app has seen
+/// EOF and sent its own close (so the server can reap the connection),
+/// or for a close probe until the connection fully closes.
+#[allow(clippy::too_many_arguments)] // one fetch's inputs and sinks
 pub fn fetch_once(
     addrs: &[SocketAddr],
+    ports: &mut ClientPorts,
     (seed, ks_seed): (u64, u64),
+    kind: Kind,
     tracer: &mut Option<Tracer>,
     req: u32,
     side: Option<&mut RrSide>,
-    linger: Option<Duration>,
 ) -> Result<Fetch, String> {
     // Loop totals are collected only where the profiler runs.
     let cfg = LoopConfig {
         profile: side.is_some(),
         ..LoopConfig::default()
     };
+    let deadline = kind.deadline();
     let t0 = Instant::now();
-    let mut cl = ClientRuntime::connect(
-        MptcpConfig::default(),
-        seed,
-        &loopback(),
-        addrs,
-        FetchClient::new(RR_SIZE, ks_seed),
-        cfg,
-    )
-    .map_err(|e| format!("client bind: {e}"))?;
+    let mut cl = ports.connect(seed, addrs, || FetchClient::new(RR_SIZE, ks_seed), cfg)?;
     if let Some(t) = tracer.as_mut() {
         t.leaf("client.connect", req, t0, Instant::now());
     }
     let mut f = Fetch {
+        kind,
         start: Duration::ZERO,
         ok: false,
         corrupt: false,
-        latency: RR_DEADLINE,
+        latency: deadline,
         ttfb: None,
         handshake: None,
         close: None,
@@ -421,16 +497,21 @@ pub fn fetch_once(
             break;
         }
         // A stream that ended short, or no full reply by the deadline.
-        if app.finished() || now - t0 > RR_DEADLINE {
+        if app.finished() || now - t0 > deadline {
             break;
         }
     }
     f.bytes = cl.app().received();
     if f.ok {
         let last = Instant::now();
-        let cap = linger.unwrap_or(Duration::from_millis(20));
+        let linger = kind == Kind::Close;
+        let cap = if linger {
+            CLOSE_CAP
+        } else {
+            Duration::from_millis(20)
+        };
         while Instant::now() - last < cap {
-            if linger.is_some() {
+            if linger {
                 if cl.conn().fully_closed() {
                     break;
                 }
@@ -441,8 +522,8 @@ pub fn fetch_once(
             }
             client_turn(&mut cl, tracer, req);
         }
-        if linger.is_some() {
-            f.close = Some(cl.conn().fully_closed().then(|| Instant::now() - last));
+        if linger {
+            f.close = cl.conn().fully_closed().then(|| Instant::now() - last);
         }
     }
     if let Some(s) = side {
@@ -497,6 +578,7 @@ pub fn rr_run(
         conns: ConnTotals::default(),
     };
     let mut fetches = Vec::new();
+    let mut ports = ClientPorts::new();
     let t0 = Instant::now();
     let cpu0 = process_cpu_ns();
     let end = t0 + Duration::from_secs_f64(seconds);
@@ -505,11 +587,12 @@ pub fn rr_run(
         let start = t0.elapsed();
         let mut f = fetch_once(
             &server.addrs,
+            &mut ports,
             seeds.next_pair(),
+            Kind::Measured,
             &mut tracer,
             req,
             traced.then_some(&mut side),
-            None,
         )?;
         f.start = start;
         fetches.push(f);
@@ -522,19 +605,31 @@ pub fn rr_run(
     let elapsed = t0.elapsed().as_secs_f64();
     let cpu_ns = process_cpu_ns() - cpu0;
     if traced {
-        // Close probes, outside the measured window: linger until the
-        // connection fully closes, as `ClientRuntime::run` would.
-        for _ in 0..CLOSE_PROBES {
-            let req = fetches.len() as u32;
-            let f = fetch_once(
-                &server.addrs,
-                seeds.next_pair(),
-                &mut None,
-                req,
-                None,
-                Some(CLOSE_CAP),
-            )?;
-            fetches.push(f);
+        // Probes, outside the measured window. Close probes linger until
+        // the connection fully closes, as `ClientRuntime::run` would.
+        // Reuse probes connect again from the ports of the first served
+        // fetches, as a kernel-chosen port sometimes does.
+        let mut reused = ClientPorts::new();
+        let probes = [(Kind::Close, CLOSE_PROBES), (Kind::Reuse, REUSE_PROBES)];
+        for (kind, n) in probes {
+            for _ in 0..n {
+                let req = fetches.len() as u32;
+                let from = if kind == Kind::Reuse {
+                    &mut reused
+                } else {
+                    &mut ports
+                };
+                let f = fetch_once(
+                    &server.addrs,
+                    from,
+                    seeds.next_pair(),
+                    kind,
+                    &mut None,
+                    req,
+                    None,
+                )?;
+                fetches.push(f);
+            }
         }
     }
     let client_wall_s = elapsed;
@@ -551,9 +646,15 @@ pub fn rr_run(
     })
 }
 
+impl RrRun {
+    fn of(&self, kind: Kind) -> impl Iterator<Item = &Fetch> + Clone {
+        self.fetches.iter().filter(move |f| f.kind == kind)
+    }
+}
+
 pub fn rr_outcome(r: &RrRun) -> Outcome {
     let mut out = Outcome::new();
-    let measured = r.fetches.iter().filter(|f| f.close.is_none());
+    let measured = r.of(Kind::Measured);
     let corrupt = measured.clone().filter(|f| f.corrupt).count();
     out.check(corrupt == 0, || {
         format!("wire_rr: {corrupt} fetches failed keystream verification")
@@ -565,9 +666,7 @@ pub fn rr_outcome(r: &RrRun) -> Outcome {
 
 fn rr_latencies(r: &RrRun) -> Vec<f64> {
     // A failed fetch counts at the deadline, over any latency limit.
-    r.fetches
-        .iter()
-        .filter(|f| f.close.is_none())
+    r.of(Kind::Measured)
         .map(|f| f.latency.as_secs_f64() * 1e3)
         .collect()
 }
@@ -577,7 +676,7 @@ fn rr_latencies(r: &RrRun) -> Vec<f64> {
 /// window's tail, not the reported one.
 fn windowed_quantile(r: &RrRun, q: f64) -> f64 {
     let mut windows: std::collections::BTreeMap<u128, Vec<f64>> = Default::default();
-    for f in r.fetches.iter().filter(|f| f.close.is_none()) {
+    for f in r.of(Kind::Measured) {
         windows
             .entry(f.start.as_nanos() / WINDOW.as_nanos())
             .or_default()
@@ -626,7 +725,7 @@ pub fn rr_traced(seed: u64, seconds: f64, spans: &Path) -> Result<Outcome, Strin
     conns.merge(&r.server.conns);
     conns.report(&mut out, r.server.joins);
     report_listener(&mut out, &r.server);
-    let measured: Vec<&Fetch> = r.fetches.iter().filter(|f| f.close.is_none()).collect();
+    let measured: Vec<&Fetch> = r.of(Kind::Measured).collect();
     let ms = |d: Duration| d.as_secs_f64() * 1e3;
     let pick = |f: &dyn Fn(&Fetch) -> Option<Duration>| -> Vec<f64> {
         measured.iter().filter_map(|x| f(x)).map(ms).collect()
@@ -634,19 +733,26 @@ pub fn rr_traced(seed: u64, seconds: f64, spans: &Path) -> Result<Outcome, Strin
     out.set("requests.samples", measured.len() as f64);
     out.set("runtime.handshake_ms_p50", median(&pick(&|f| f.handshake)));
     out.set("runtime.ttfb_ms_p50", median(&pick(&|f| f.ttfb)));
-    let probes: Vec<&Fetch> = r.fetches.iter().filter(|f| f.close.is_some()).collect();
+    let probes: Vec<&Fetch> = r.of(Kind::Close).filter(|f| f.ok).collect();
     // An unclosed connection counts at the cap.
     let close: Vec<f64> = probes
         .iter()
-        .filter(|f| f.ok)
-        .map(|f| ms(f.close.flatten().unwrap_or(CLOSE_CAP)))
+        .map(|f| ms(f.close.unwrap_or(CLOSE_CAP)))
         .collect();
     out.set("runtime.close_ms_p50", median(&close));
     out.set(
         "runtime.unclosed_share",
         ratio(
-            probes.iter().filter(|f| f.close == Some(None)).count() as f64,
+            probes.iter().filter(|f| f.close.is_none()).count() as f64,
             probes.len() as f64,
+        ),
+    );
+    let reuse: Vec<&Fetch> = r.of(Kind::Reuse).collect();
+    out.set(
+        "listener.port_reuse_failed_share",
+        ratio(
+            reuse.iter().filter(|f| !f.ok).count() as f64,
+            reuse.len() as f64,
         ),
     );
     let lat = rr_latencies(&r);
