@@ -869,6 +869,8 @@ fn sub_seed(seed: u64, i: usize) -> u64 {
 pub fn run_traced(w: SimWorkload, seed: u64, spans_out: &std::path::Path) -> Outcome {
     let inp = w.inputs(sub_seed(seed, 0));
     let mut out = Outcome::new();
+    // The first unit of a process runs cold; the reference is the second.
+    untraced_unit(w, &inp);
     let plain = untraced_unit(w, &inp);
 
     let epoch = Instant::now();
