@@ -35,6 +35,10 @@ const RR_DEADLINE: Duration = Duration::from_secs(1);
 const WINDOW: Duration = Duration::from_secs(2);
 /// The client's pause between fetches (see NOTES.md).
 const THINK: Duration = Duration::from_millis(10);
+/// wire_rr reads peak memory after this many fetches: the server holds
+/// every connection it served, so memory grows with the fetch count, and
+/// a fixed count keeps the machine's speed out of the reading.
+const RSS_FETCHES: usize = 1000;
 /// Server binds timed per run.
 const SETUP_BINDS: usize = 25;
 /// wire_rr traced runs end with this many fetches that linger until the
@@ -552,6 +556,9 @@ pub fn fetch_seeds(seed: u64, n: usize) -> Vec<(u64, u64)> {
 
 pub struct RrRun {
     pub setup_s: f64,
+    /// Peak RSS after `RSS_FETCHES` fetches, or at the end of a run that
+    /// made fewer.
+    pub rss_mib: f64,
     pub fetches: Vec<Fetch>,
     pub elapsed: f64,
     pub cpu_ns: u64,
@@ -578,6 +585,7 @@ pub fn rr_run(
         conns: ConnTotals::default(),
     };
     let mut fetches = Vec::new();
+    let mut rss_mib = None;
     let mut ports = ClientPorts::new();
     let t0 = Instant::now();
     let cpu0 = process_cpu_ns();
@@ -596,6 +604,9 @@ pub fn rr_run(
         )?;
         f.start = start;
         fetches.push(f);
+        if fetches.len() == RSS_FETCHES {
+            rss_mib = Some(crate::report::peak_rss_mib());
+        }
         let t = Instant::now();
         std::thread::sleep(THINK);
         if let Some(tr) = tracer.as_mut() {
@@ -636,6 +647,7 @@ pub fn rr_run(
     let server = server.stop()?;
     Ok(RrRun {
         setup_s,
+        rss_mib: rss_mib.unwrap_or_else(crate::report::peak_rss_mib),
         fetches,
         elapsed,
         cpu_ns,
@@ -692,7 +704,7 @@ pub fn rr(seed: u64, seconds: f64) -> Result<Outcome, String> {
     let ok = out.attempted - out.failed;
     let bytes: u64 = r.fetches.iter().filter(|f| f.ok).map(|f| f.bytes).sum();
     out.set("setup_s", r.setup_s);
-    out.set("peak_rss_mib", crate::report::peak_rss_mib());
+    out.set("peak_rss_mib", r.rss_mib);
     out.set("ok_share", ratio(ok as f64, out.attempted as f64));
     out.set("app_mb_per_s", bytes as f64 / 1e6 / r.elapsed);
     out.set("req_per_s", ok as f64 / r.elapsed);
