@@ -451,11 +451,20 @@ impl MptcpConnection {
         }
     }
 
-    /// All subflow sockets closed or dead: nothing further will happen.
+    /// All subflow sockets closed (or in TIME_WAIT) or dead: nothing
+    /// further will happen once pending segments are polled out.
     pub fn fully_closed(&self) -> bool {
         self.subflows
             .iter()
             .all(|s| s.dead || s.sock.state().is_closed())
+    }
+
+    /// Both data-level closes are done (our DATA_FIN is acknowledged, the
+    /// peer's was received and read) and every subflow is Closed, in
+    /// TIME_WAIT or dead. After the next poll, which emits any final ACK,
+    /// the connection has nothing left to send or deliver.
+    pub fn is_finished(&self) -> bool {
+        self.send_closed() && self.at_eof() && self.fully_closed()
     }
 
     /// Subflow views (testing / instrumentation).

@@ -47,7 +47,7 @@ pub use config::{
     ConfigError, FailureDetection, Mechanisms, MptcpConfig, MptcpConfigBuilder, ReorderAlgo,
 };
 pub use conn::{ConnEvent, ConnState, ConnStats, MptcpConnection};
-pub use endpoint::MptcpListener;
+pub use endpoint::{ConnId, ConnTable, MptcpListener};
 pub use mptcp_tcpstack::{CcAlgorithm, CoupledSignal, CoupledState, FlowView, TcpConfig};
 pub use mptcp_telemetry as telemetry;
 pub use pm::{

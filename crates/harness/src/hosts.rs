@@ -4,10 +4,12 @@
 //! workload; [`ServerHost`] wraps an [`mptcp::MptcpListener`] — which also
 //! accepts plain-TCP clients via fallback, so one server implementation
 //! serves every baseline — plus a [`ServerApp`].
+//!
+//! Both hold live connections only. A client that closes a transport to
+//! reconnect keeps it in a closing set until its close handshake is done;
+//! the server's listener frees each connection once it has finished.
 
-use std::collections::HashMap;
-
-use mptcp::{ConnEvent, MptcpConfig, MptcpConnection, MptcpListener};
+use mptcp::{ConnEvent, ConnId, MptcpConfig, MptcpConnection, MptcpListener};
 use mptcp_netsim::{Duration, Host, Outbox, SimRng, SimTime};
 use mptcp_packet::SeqNum;
 use mptcp_packet::{Endpoint, FourTuple, TcpSegment};
@@ -93,6 +95,9 @@ pub struct ClientHost {
     /// The workload.
     pub app: ClientApp,
     factory: ConnFactory,
+    /// Transports the app closed to reconnect, kept until their close
+    /// handshake finishes so the peer sees its DATA_FIN/FIN answered.
+    closing: Vec<Transport>,
     /// Block-send timestamps (Figure 7).
     pub block_sent: Vec<SimTime>,
     /// Total application bytes accepted by the transport.
@@ -111,6 +116,7 @@ impl ClientHost {
             transport,
             app,
             factory,
+            closing: Vec::new(),
             block_sent: Vec::new(),
             app_bytes_sent: 0,
             app_bytes_received: 0,
@@ -203,9 +209,11 @@ impl ClientHost {
                 }
                 if *requested && self.transport.at_eof() {
                     *completed += 1;
-                    self.transport.close();
-                    // Closed loop: immediately reconnect.
-                    self.transport = self.factory.make(now);
+                    // Closed loop: immediately reconnect, letting the old
+                    // transport finish its close in the background.
+                    let mut done = std::mem::replace(&mut self.transport, self.factory.make(now));
+                    done.close();
+                    self.closing.push(done);
                     *requested = false;
                 }
             }
@@ -224,28 +232,45 @@ impl ClientHost {
             }
         }
     }
+
+    /// Emit the live transport's output, then the closing transports',
+    /// freeing each closing transport once its close has finished.
+    fn flush(&mut self, now: SimTime, out: &mut Outbox) {
+        while let Some(s) = self.transport.poll(now) {
+            out.send(s);
+        }
+        self.closing.retain_mut(|t| {
+            while let Some(s) = t.poll(now) {
+                out.send(s);
+            }
+            !t.is_finished()
+        });
+    }
 }
 
 impl Host for ClientHost {
     fn handle_segment(&mut self, now: SimTime, seg: TcpSegment, out: &mut Outbox) {
-        self.transport.handle_segment(now, &seg);
-        self.drive_app(now);
-        while let Some(s) = self.transport.poll(now) {
-            out.send(s);
+        let local = seg.tuple.reversed();
+        match self.closing.iter_mut().find(|t| t.owns(&local)) {
+            Some(t) => t.handle_segment(now, &seg),
+            None => self.transport.handle_segment(now, &seg),
         }
+        self.drive_app(now);
+        self.flush(now, out);
     }
 
     fn poll(&mut self, now: SimTime, out: &mut Outbox) {
         self.drive_app(now);
         let mem = self.transport.sender_memory() as f64;
         self.mem_sampler.maybe_sample(now, || mem);
-        while let Some(s) = self.transport.poll(now) {
-            out.send(s);
-        }
+        self.flush(now, out);
     }
 
     fn poll_at(&self, now: SimTime) -> Option<SimTime> {
-        self.transport.poll_at(now)
+        std::iter::once(&self.transport)
+            .chain(&self.closing)
+            .filter_map(|t| t.poll_at(now))
+            .min()
     }
 
     fn addr_event(&mut self, now: SimTime, addr: u32, up: bool, out: &mut Outbox) {
@@ -259,9 +284,7 @@ impl Host for ClientHost {
         // Flush the REMOVE_ADDR (and any migrated data) immediately so it
         // rides the surviving path in this same simulation instant.
         self.drive_app(now);
-        while let Some(s) = self.transport.poll(now) {
-            out.send(s);
-        }
+        self.flush(now, out);
     }
 }
 
@@ -284,9 +307,12 @@ pub enum ServerApp {
     },
 }
 
-/// Per-connection server-side bookkeeping.
+/// HTTP progress of the connection in one listener slot.
 #[derive(Default)]
 struct ConnProgress {
+    /// The connection this progress belongs to; another id in the slot
+    /// means the slot was reused and the progress starts over.
+    id: Option<ConnId>,
     got_request: bool,
     response_written: usize,
     closed: bool,
@@ -298,7 +324,8 @@ pub struct ServerHost {
     pub listener: MptcpListener,
     /// Application behaviour.
     pub app: ServerApp,
-    progress: HashMap<usize, ConnProgress>,
+    /// HTTP progress, indexed by listener slot.
+    progress: Vec<ConnProgress>,
     /// Total application bytes read across connections.
     pub app_bytes_received: u64,
     /// Block receive timestamps (Figure 7).
@@ -315,7 +342,7 @@ impl ServerHost {
         ServerHost {
             listener: MptcpListener::new(cfg, seed),
             app,
-            progress: HashMap::new(),
+            progress: Vec::new(),
             app_bytes_received: 0,
             block_received: Vec::new(),
             responses_started: 0,
@@ -332,13 +359,13 @@ impl ServerHost {
             .sum()
     }
 
-    fn note_received(&mut self, n: usize, now: SimTime) {
-        let before = self.app_bytes_received;
-        self.app_bytes_received += n as u64;
+    fn note_received(received: &mut u64, stamps: &mut Vec<SimTime>, n: usize, now: SimTime) {
+        let before = *received;
+        *received += n as u64;
         let first = before / BLOCK as u64;
-        let last = self.app_bytes_received / BLOCK as u64;
+        let last = *received / BLOCK as u64;
         for _ in first..last {
-            self.block_received.push(now);
+            stamps.push(now);
         }
     }
 
@@ -358,28 +385,41 @@ impl ServerHost {
             _ => None,
         };
 
-        let nconns = self.listener.conns.len();
-        for idx in 0..nconns {
+        for (id, conn) in self.listener.conns.entries_mut() {
             match http_file {
                 None => {
                     // Sink / SlowSink: drain within budget.
                     while budget > 0 {
-                        let Some(b) = self.listener.conns[idx].read(budget).into_data() else {
+                        let Some(b) = conn.read(budget).into_data() else {
                             break;
                         };
                         let n = b.len();
                         if budget != usize::MAX {
                             budget -= n;
                         }
-                        self.note_received(n, now);
+                        Self::note_received(
+                            &mut self.app_bytes_received,
+                            &mut self.block_received,
+                            n,
+                            now,
+                        );
                     }
                 }
                 Some(file_size) => {
-                    let prog = self.progress.entry(idx).or_default();
+                    if self.progress.len() <= id.slot() {
+                        self.progress
+                            .resize_with(id.slot() + 1, ConnProgress::default);
+                    }
+                    let prog = &mut self.progress[id.slot()];
+                    if prog.id != Some(id) {
+                        *prog = ConnProgress {
+                            id: Some(id),
+                            ..ConnProgress::default()
+                        };
+                    }
                     if prog.closed {
                         continue;
                     }
-                    let conn = &mut self.listener.conns[idx];
                     if !prog.got_request {
                         if conn.read(usize::MAX).into_data().is_some() {
                             prog.got_request = true;
@@ -436,7 +476,7 @@ impl Host for ServerHost {
     }
 
     fn addr_event(&mut self, now: SimTime, addr: u32, up: bool, out: &mut Outbox) {
-        for conn in &mut self.listener.conns {
+        for (_, conn) in self.listener.conns.entries_mut() {
             if up {
                 conn.local_addr_up(addr, now);
             } else {

@@ -8,7 +8,7 @@ use std::fmt;
 use bytes::Bytes;
 use mptcp::{MptcpConnection, WriteOutcome};
 use mptcp_netsim::SimTime;
-use mptcp_packet::TcpSegment;
+use mptcp_packet::{FourTuple, TcpSegment};
 use mptcp_tcpstack::TcpSocket;
 
 /// Why a [`Transport::write`] accepted no bytes.
@@ -106,6 +106,23 @@ impl Transport {
         }
     }
 
+    /// Closed and done with: the close handshake finished (or the
+    /// transport failed), and the last segment has been polled out.
+    pub fn is_finished(&self) -> bool {
+        match self {
+            Transport::Mptcp(c) => c.is_finished() || self.failed(),
+            Transport::Tcp(s) => s.state().is_closed(),
+        }
+    }
+
+    /// Is `local` (a four-tuple seen from this side) one of ours?
+    pub fn owns(&self, local: &FourTuple) -> bool {
+        match self {
+            Transport::Mptcp(c) => c.subflows().iter().any(|s| s.sock.tuple() == *local),
+            Transport::Tcp(s) => s.tuple() == *local,
+        }
+    }
+
     /// Feed an incoming segment.
     pub fn handle_segment(&mut self, now: SimTime, seg: &TcpSegment) {
         match self {
@@ -169,7 +186,7 @@ impl Transport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mptcp_packet::{Endpoint, FourTuple, SeqNum};
+    use mptcp_packet::{Endpoint, SeqNum};
     use mptcp_tcpstack::TcpConfig;
 
     fn established_tcp() -> Transport {

@@ -23,7 +23,7 @@ use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 
-use mptcp::{ConnState, MptcpConnection, MptcpListener, PathState};
+use mptcp::{ConnId, ConnState, MptcpConnection, MptcpListener, PathState};
 use mptcp_netsim::SimTime;
 use mptcp_telemetry::{CounterId, GaugeId, TelemetrySnapshot};
 
@@ -47,11 +47,9 @@ pub struct AdminCtx<'a> {
     pub profiler: &'a LoopProfiler,
     /// Real sockets and the learned route table.
     pub paths: &'a PathSet,
-    /// Per-connection accept time, parallel to `listener.conns`.
-    pub conn_created: &'a [SimTime],
-    /// Which connections are finished and reaped, parallel to
-    /// `listener.conns` (empty on the client runtime).
-    pub reaped: &'a [bool],
+    /// Connections served in the last iteration, which the listener
+    /// still holds until the next one frees them.
+    pub reaped: &'a [ConnId],
     /// Current loop time.
     pub now: SimTime,
     /// Connections that finished their app and closed.
@@ -254,7 +252,7 @@ impl AdminServer {
             "conns" => c.respond(&render_conns(ctx)),
             "conn" => match words.next().map(parse_token) {
                 Some(Some(token)) => match find_conn(ctx, token) {
-                    Some(i) => c.respond(&render_conn_detail(ctx, i)),
+                    Some(id) => c.respond(&render_conn_detail(ctx, id)),
                     None => c.respond(&format!("ERR no connection with token {token:08x}")),
                 },
                 _ => c.respond("ERR usage: conn <hex-token>"),
@@ -280,11 +278,12 @@ fn parse_token(s: &str) -> Option<u32> {
     u32::from_str_radix(hex, 16).ok()
 }
 
-fn find_conn(ctx: &AdminCtx<'_>, token: u32) -> Option<usize> {
+fn find_conn(ctx: &AdminCtx<'_>, token: u32) -> Option<ConnId> {
     ctx.listener
         .conns
-        .iter()
-        .position(|c| c.local_token() == token)
+        .entries()
+        .find(|(_, c)| c.local_token() == token)
+        .map(|(id, _)| id)
 }
 
 fn conn_state_name(s: ConnState) -> &'static str {
@@ -315,9 +314,14 @@ fn ip(addr: u32) -> String {
     )
 }
 
-fn age_secs(ctx: &AdminCtx<'_>, i: usize) -> f64 {
-    let created = ctx.conn_created.get(i).copied().unwrap_or(ctx.now);
+fn age_secs(ctx: &AdminCtx<'_>, id: ConnId) -> f64 {
+    let created = ctx.listener.conns.created(id).unwrap_or(ctx.now);
     (ctx.now.0.saturating_sub(created.0)) as f64 / 1e9
+}
+
+/// Held connections not yet served.
+fn live_conns(ctx: &AdminCtx<'_>) -> usize {
+    ctx.listener.len() - ctx.reaped.len()
 }
 
 /// One compact row per path: `A/S/F` per subflow, `x` once dead.
@@ -351,8 +355,8 @@ fn render_conns(ctx: &AdminCtx<'_>) -> String {
         "{:<10} {:<16} {:<8} {:>12} {:>12} {:>7} {:>9}\n",
         "TOKEN", "STATE", "PATHS", "TX-BYTES", "RX-BYTES", "REORD", "AGE-S"
     );
-    for (i, conn) in ctx.listener.conns.iter().enumerate() {
-        let state = if ctx.reaped.get(i).copied().unwrap_or(false) {
+    for (id, conn) in ctx.listener.conns.entries() {
+        let state = if ctx.reaped.contains(&id) {
             "reaped"
         } else {
             conn_state_name(conn.state())
@@ -365,21 +369,21 @@ fn render_conns(ctx: &AdminCtx<'_>) -> String {
             conn_tx_bytes(conn),
             conn.stats.bytes_delivered,
             conn.ooo.len(),
-            age_secs(ctx, i),
+            age_secs(ctx, id),
         ));
     }
-    out.push_str(&format!("({} connections)\n", ctx.listener.conns.len()));
+    out.push_str(&format!("({} connections)\n", ctx.listener.len()));
     out
 }
 
-fn render_conn_detail(ctx: &AdminCtx<'_>, i: usize) -> String {
-    let conn = &ctx.listener.conns[i];
+fn render_conn_detail(ctx: &AdminCtx<'_>, id: ConnId) -> String {
+    let conn = &ctx.listener.conns[id];
     let mut out = format!(
         "conn {:08x}\n  state {}  age_s {:.2}  reaped {}\n",
         conn.local_token(),
         conn_state_name(conn.state()),
-        age_secs(ctx, i),
-        ctx.reaped.get(i).copied().unwrap_or(false),
+        age_secs(ctx, id),
+        ctx.reaped.contains(&id),
     );
     out.push_str(&format!(
         "  rcv_buf {}  rcv_window {}  reorder_segs {}  reorder_bytes {}\n",
@@ -454,8 +458,8 @@ fn render_paths(ctx: &AdminCtx<'_>) -> String {
     // Per-connection path-manager state: the endpoint registry with its
     // kernel-style flags, the limits in force, and each outstanding
     // ADD_ADDR's echo/retransmit progress.
-    for (i, conn) in ctx.listener.conns.iter().enumerate() {
-        if ctx.reaped.get(i).copied().unwrap_or(false) {
+    for (id, conn) in ctx.listener.conns.entries() {
+        if ctx.reaped.contains(&id) {
             continue;
         }
         let pm = conn.path_manager();
@@ -493,19 +497,12 @@ fn render_paths(ctx: &AdminCtx<'_>) -> String {
 }
 
 fn render_health(stats: &RuntimeStats, ctx: &AdminCtx<'_>) -> String {
-    let live = ctx
-        .listener
-        .conns
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| !ctx.reaped.get(*i).copied().unwrap_or(false))
-        .count();
     let c = |id: CounterId| stats.rec.counter(id);
     let mut out = String::new();
     let mut kv = |k: &str, v: String| out.push_str(&format!("{k:<24} {v}\n"));
     kv("served", ctx.served.to_string());
-    kv("accepted", ctx.listener.conns.len().to_string());
-    kv("live", live.to_string());
+    kv("accepted", ctx.listener.accepted().to_string());
+    kv("live", live_conns(ctx).to_string());
     kv("paths", ctx.paths.len().to_string());
     kv(
         "loop_iterations",
@@ -545,13 +542,20 @@ fn sanitize_help(s: &str) -> String {
 }
 
 /// Render the Prometheus text exposition (format 0.0.4): every telemetry
-/// counter and gauge — the runtime loop's recorder plus the sum over all
-/// live connections' snapshots — with `# HELP`/`# TYPE` headers from the
+/// counter and gauge — the runtime loop's recorder plus the sum over the
+/// held connections' snapshots and the listener's freed-connection
+/// totals, so counters stay monotone as connections are freed — with `# HELP`/`# TYPE` headers from the
 /// registry, then the tick-skew and loop-phase summaries, then server
 /// meta-series. Metric names are `mptcp_<registry name>`; counters end in
 /// `_total`, gauge high-water marks in `_peak`.
 pub fn prometheus_text(stats: &RuntimeStats, ctx: &AdminCtx<'_>) -> String {
-    let snaps: Vec<TelemetrySnapshot> = ctx.listener.conns.iter().map(|c| c.telemetry()).collect();
+    let snaps: Vec<TelemetrySnapshot> = ctx
+        .listener
+        .conns
+        .iter()
+        .map(|c| c.telemetry())
+        .chain(std::iter::once(ctx.listener.closed_telemetry().clone()))
+        .collect();
     let mut out = String::with_capacity(16 << 10);
 
     for id in CounterId::ALL {
@@ -623,13 +627,7 @@ pub fn prometheus_text(stats: &RuntimeStats, ctx: &AdminCtx<'_>) -> String {
     }
 
     // Server meta-series.
-    let live = ctx
-        .listener
-        .conns
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| !ctx.reaped.get(*i).copied().unwrap_or(false))
-        .count();
+    let live = live_conns(ctx);
     out.push_str(&format!(
         "# HELP mptcp_server_connections connections currently tracked and not reaped\n\
          # TYPE mptcp_server_connections gauge\n\
@@ -646,7 +644,7 @@ pub fn prometheus_text(stats: &RuntimeStats, ctx: &AdminCtx<'_>) -> String {
          # HELP mptcp_server_paths bound UDP paths\n\
          # TYPE mptcp_server_paths gauge\n\
          mptcp_server_paths {}\n",
-        ctx.listener.conns.len(),
+        ctx.listener.accepted(),
         ctx.served,
         ctx.listener.rejected_syns,
         ctx.paths.len(),

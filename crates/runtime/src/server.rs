@@ -6,12 +6,17 @@
 //! only moves datagrams. The loop maintains a *dirty set* — connections
 //! touched by ingress, an expired deadline, or backlogged egress — and
 //! drives exactly those, so idle connections cost nothing per iteration.
+//!
+//! A connection is *served* once its app has finished and the data-level
+//! close is done both ways. It is freed from the listener at the start of
+//! the next iteration, so its state stays readable right after the step
+//! that served it, and the loop's tables hold live connections only.
 
 use std::io;
 use std::net::SocketAddr;
 use std::time::Instant;
 
-use mptcp::{MptcpConfig, MptcpListener};
+use mptcp::{ConnId, MptcpConfig, MptcpListener};
 use mptcp_netsim::SimTime;
 use mptcp_packet::{BufPool, TcpSegment};
 use mptcp_telemetry::CounterId;
@@ -29,16 +34,23 @@ use crate::{LoopConfig, RuntimeError};
 /// Creates the application attached to each accepted connection.
 pub type AppFactory = Box<dyn FnMut() -> Box<dyn ConnApp + Send> + Send>;
 
-/// Listener, per-connection apps and egress queues, and the deadline heap.
+/// The loop's state for the connection in one listener slot.
+struct Slot {
+    id: ConnId,
+    app: Box<dyn ConnApp + Send>,
+    egress: Egress,
+    /// Queued in `dirty` for the next drive.
+    dirty: bool,
+}
+
+/// Listener, per-slot apps and egress queues, and the deadline heap.
 pub struct ServerRuntime {
     clock: WallClock,
     listener: MptcpListener,
-    apps: Vec<Box<dyn ConnApp + Send>>,
-    egress: Vec<Egress>,
-    /// Finished *and* fully closed; excluded from all further work.
-    reaped: Vec<bool>,
-    /// Accept time per connection (for admin `conns` age reporting).
-    created: Vec<SimTime>,
+    /// Indexed by listener slot; `None` once the slot's connection is freed.
+    slots: Vec<Option<Slot>>,
+    /// Served in the last iteration; freed at the start of the next one.
+    reaped: Vec<ConnId>,
     paths: PathSet,
     /// Datagram buffers, shared with `paths`' ingress side.
     pool: BufPool,
@@ -47,9 +59,9 @@ pub struct ServerRuntime {
     timers: DeadlineHeap,
     factory: AppFactory,
     ingress: Vec<TcpSegment>,
-    touched: Vec<usize>,
+    touched: Vec<ConnId>,
+    /// Slots to drive this iteration.
     dirty: Vec<usize>,
-    dirty_flag: Vec<bool>,
     due: Vec<usize>,
     served: u64,
     promised: Option<SimTime>,
@@ -73,10 +85,8 @@ impl ServerRuntime {
         Ok(ServerRuntime {
             clock: WallClock::new(),
             listener: MptcpListener::new(mptcp, seed),
-            apps: Vec::new(),
-            egress: Vec::new(),
+            slots: Vec::new(),
             reaped: Vec::new(),
-            created: Vec::new(),
             paths,
             pool,
             stats: RuntimeStats::new(),
@@ -86,7 +96,6 @@ impl ServerRuntime {
             ingress: Vec::new(),
             touched: Vec::new(),
             dirty: Vec::new(),
-            dirty_flag: Vec::new(),
             due: Vec::new(),
             served: 0,
             promised: None,
@@ -110,20 +119,27 @@ impl ServerRuntime {
         self.paths.local_addr(i)
     }
 
-    fn ensure(&mut self, idx: usize, now: SimTime) {
-        while self.apps.len() <= idx {
-            self.apps.push((self.factory)());
-            self.egress.push(Egress::new(self.cfg.egress_cap));
-            self.reaped.push(false);
-            self.created.push(now);
-            self.dirty_flag.push(false);
+    /// Give connection `id` a slot entry, fresh if the slot is new or
+    /// held an earlier connection.
+    fn ensure(&mut self, id: ConnId) {
+        let i = id.slot();
+        if self.slots.len() <= i {
+            self.slots.resize_with(i + 1, || None);
+        }
+        if self.slots[i].as_ref().map(|s| s.id) != Some(id) {
+            self.slots[i] = Some(Slot {
+                id,
+                app: (self.factory)(),
+                egress: Egress::new(self.cfg.egress_cap),
+                dirty: false,
+            });
         }
     }
 
-    fn mark(&mut self, idx: usize) {
-        if !self.dirty_flag[idx] {
-            self.dirty_flag[idx] = true;
-            self.dirty.push(idx);
+    fn mark(dirty: &mut Vec<usize>, slot: &mut Slot) {
+        if !slot.dirty {
+            slot.dirty = true;
+            dirty.push(slot.id.slot());
         }
     }
 
@@ -136,6 +152,10 @@ impl ServerRuntime {
             if d > SimTime::ZERO && now > d {
                 self.stats.record_late_tick(now.0 - d.0);
             }
+        }
+        for id in self.reaped.drain(..) {
+            self.listener.free(id);
+            self.slots[id.slot()] = None;
         }
 
         // Ingress on every path; demux marks connections dirty.
@@ -155,17 +175,20 @@ impl ServerRuntime {
         self.listener
             .handle_segments(now, &self.ingress, &mut touched);
         self.ingress.clear();
-        for idx in touched.drain(..) {
-            self.ensure(idx, now);
-            self.mark(idx);
+        for id in touched.drain(..) {
+            self.ensure(id);
+            let slot = self.slots[id.slot()].as_mut().expect("ensured");
+            Self::mark(&mut self.dirty, slot);
         }
         self.touched = touched;
 
         // Expired deadlines join the dirty set.
         let mut due = std::mem::take(&mut self.due);
         self.timers.pop_due(now, &mut due);
-        for idx in due.drain(..) {
-            self.mark(idx);
+        for i in due.drain(..) {
+            if let Some(slot) = self.slots[i].as_mut() {
+                Self::mark(&mut self.dirty, slot);
+            }
         }
         self.due = due;
         self.profiler.lap(lap, Phase::Demux);
@@ -177,19 +200,23 @@ impl ServerRuntime {
         let mut polled = 0;
         let mut tx_total = 0;
         let mut acc = [0u64; 3];
-        for &idx in &work {
-            self.dirty_flag[idx] = false;
-        }
-        for idx in work {
-            if self.reaped[idx] {
-                continue;
+        for &i in &work {
+            if let Some(slot) = self.slots[i].as_mut() {
+                slot.dirty = false;
             }
+        }
+        for i in work {
+            // Served connections are never marked, so every dirty slot is
+            // live; a slot freed anyway is skipped.
+            let Some(slot) = self.slots[i].as_mut() else {
+                continue;
+            };
             let mut t = self.profiler.start();
-            let conn = &mut self.listener.conns[idx];
-            self.apps[idx].drive(conn, now);
+            let conn = &mut self.listener.conns[slot.id];
+            slot.app.drive(conn, now);
             lap_into(&mut t, &mut acc[0]);
             loop {
-                if !self.egress[idx].has_room() {
+                if !slot.egress.has_room() {
                     self.stats.rec.count(CounterId::RtEgressBackpressure);
                     break;
                 }
@@ -198,28 +225,27 @@ impl ServerRuntime {
                 if let Some(route) = self.paths.route(seg.tuple) {
                     let mut frame = self.pool.checkout();
                     crate::wire::encode_datagram_into(&seg, &mut frame);
-                    self.egress[idx].push(route.path, route.peer, frame);
+                    slot.egress.push(route.path, route.peer, frame);
                 }
             }
             lap_into(&mut t, &mut acc[1]);
-            tx_total += self.egress[idx].flush(&mut self.paths, &mut self.stats);
+            tx_total += slot.egress.flush(&mut self.paths, &mut self.stats);
             lap_into(&mut t, &mut acc[2]);
-            if !self.egress[idx].is_empty() {
-                // Kernel pushback: retry the flush next iteration.
-                self.mark(idx);
-            }
-            let conn = &self.listener.conns[idx];
             // A connection is served once the app is done and the
             // data-level close completed both ways. Waiting for every
             // subflow socket to finish dying would hostage completion to a
             // blackholed path's FIN retransmissions.
             let closed = conn.fully_closed() || (conn.send_closed() && conn.at_eof());
-            if self.apps[idx].finished() && closed {
-                self.reaped[idx] = true;
+            if slot.app.finished() && closed {
+                self.reaped.push(slot.id);
                 self.served += 1;
-                self.timers.schedule(idx, None);
+                self.timers.schedule(i, None);
             } else {
-                self.timers.schedule(idx, conn.poll_at(now));
+                if !slot.egress.is_empty() {
+                    // Kernel pushback: retry the flush next iteration.
+                    Self::mark(&mut self.dirty, slot);
+                }
+                self.timers.schedule(i, conn.poll_at(now));
             }
         }
         if tx_total > 0 {
@@ -237,7 +263,6 @@ impl ServerRuntime {
                 listener: &self.listener,
                 profiler: &self.profiler,
                 paths: &self.paths,
-                conn_created: &self.created,
                 reaped: &self.reaped,
                 now,
                 served: self.served,
@@ -289,9 +314,9 @@ impl ServerRuntime {
         self.served
     }
 
-    /// Total connections ever accepted (including reaped).
+    /// Connections ever accepted, including served and freed ones.
     pub fn accepted(&self) -> usize {
-        self.listener.len()
+        self.listener.accepted() as usize
     }
 
     /// The listener (connection table, token table, reject counters).

@@ -244,4 +244,14 @@ fn admin_answers_mid_transfer_and_counters_are_monotone() {
         }
     }
     assert!(fetcher.join().expect("client thread"), "payload verified");
+
+    // Third scrape: its first step frees the served connection. The
+    // connection's counters must not leave the totals with it.
+    let scrape3 = request(&mut server, admin, "metrics");
+    assert!(server.listener().is_empty(), "served connection freed");
+    let exp3 = validate_exposition(&scrape3).expect("third scrape valid");
+    check_monotone(&exp2, &exp3).expect("counters monotone across a free");
+    assert_eq!(exp3.series["mptcp_server_connections"], 0.0);
+    assert_eq!(exp3.series["mptcp_server_accepted_total"], 1.0);
+    assert_eq!(exp3.series["mptcp_server_served_total"], 1.0);
 }

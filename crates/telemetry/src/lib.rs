@@ -851,6 +851,18 @@ impl TelemetrySnapshot {
         self.gauges[id as usize]
     }
 
+    /// Fold in the totals of a component that has finished: counters add
+    /// and gauge high-water marks merge. Gauge currents are left alone,
+    /// since a finished component holds nothing, and events are not kept.
+    pub fn add_finished(&mut self, other: &TelemetrySnapshot) {
+        for (c, o) in self.counters.iter_mut().zip(&other.counters) {
+            *c += o;
+        }
+        for (g, o) in self.gauges.iter_mut().zip(&other.gauges) {
+            g.max = g.max.max(o.max);
+        }
+    }
+
     /// Causes of recorded fallbacks, oldest first (from retained events).
     pub fn fallback_causes(&self) -> Vec<FallbackCause> {
         self.events
